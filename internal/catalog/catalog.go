@@ -101,13 +101,22 @@ type Table struct {
 // Column returns the named column, or nil if absent. Lookup is
 // case-insensitive.
 func (t *Table) Column(name string) *Column {
+	if j := t.ColumnIndex(name); j >= 0 {
+		return &t.Columns[j]
+	}
+	return nil
+}
+
+// ColumnIndex returns the schema-order index of the named column, or
+// -1 if absent. Lookup is case-insensitive.
+func (t *Table) ColumnIndex(name string) int {
 	name = strings.ToLower(name)
 	for i := range t.Columns {
 		if t.Columns[i].Name == name {
-			return &t.Columns[i]
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // RowWidth returns the byte width of one row.

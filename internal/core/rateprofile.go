@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // RateProfileConfig parameterizes the Rate-Profile policy.
 type RateProfileConfig struct {
 	// Capacity is the cache size in bytes.
@@ -33,6 +31,8 @@ type RateProfile struct {
 	profiles  *profileTable
 	evictions int64
 	last      Explain
+	// cands is selectVictims' scratch heap, reused across misses.
+	cands []rpCand
 }
 
 type rpEntry struct {
@@ -154,27 +154,25 @@ func (r *RateProfile) Access(t int64, obj Object, yield int64) Decision {
 
 // selectVictims returns the lowest-RP cached objects whose combined
 // size frees at least `needed` bytes, together with the maximum RP in
-// the victim set and the total bytes freed.
+// the victim set and the total bytes freed. Candidates are taken in
+// ascending (RP, id) order from a min-heap built in place over the
+// entries, so a miss pays O(n + k log n) for k victims rather than a
+// full sort.
 func (r *RateProfile) selectVictims(t, needed int64) (victims []ObjectID, maxRP float64, freed int64) {
-	type cand struct {
-		id   ObjectID
-		rp   float64
-		size int64
-	}
-	cands := make([]cand, 0, len(r.entries))
+	h := r.cands[:0]
 	for id, e := range r.entries {
-		cands = append(cands, cand{id, e.rp(t), e.obj.Size})
+		h = append(h, rpCand{id, e.rp(t), e.obj.Size})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].rp != cands[j].rp {
-			return cands[i].rp < cands[j].rp
-		}
-		return cands[i].id < cands[j].id // deterministic tie-break
-	})
-	for _, c := range cands {
-		if freed >= needed {
-			break
-		}
+	r.cands = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 && freed < needed {
+		c := h[0]
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		siftDown(h, 0)
 		victims = append(victims, c.id)
 		freed += c.size
 		if c.rp > maxRP {
@@ -182,6 +180,39 @@ func (r *RateProfile) selectVictims(t, needed int64) (victims []ObjectID, maxRP 
 		}
 	}
 	return victims, maxRP, freed
+}
+
+// rpCand is an eviction candidate: a cached object and its current RP.
+type rpCand struct {
+	id   ObjectID
+	rp   float64
+	size int64
+}
+
+// before orders candidates by RP, ties broken by id for determinism.
+func (c *rpCand) before(o *rpCand) bool {
+	if c.rp != o.rp {
+		return c.rp < o.rp
+	}
+	return c.id < o.id
+}
+
+// siftDown restores the min-heap property below index i.
+func siftDown(h []rpCand, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l].before(&h[m]) {
+			m = l
+		}
+		if rc := 2*i + 2; rc < len(h) && h[rc].before(&h[m]) {
+			m = rc
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 func (r *RateProfile) load(t int64, obj Object, yield int64) {

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -214,5 +217,67 @@ func TestRateProfileBeatsNoCacheOnSkewedWorkload(t *testing.T) {
 	seqCost := run(NewNoCache())
 	if rpCost >= seqCost/5 {
 		t.Fatalf("rate-profile WAN %d not ≪ sequence cost %d", rpCost, seqCost)
+	}
+}
+
+// sortedVictims is the sort-based victim selection the heap replaced,
+// kept as the reference: sort every candidate by (RP, id) and take the
+// shortest prefix freeing `needed` bytes.
+func sortedVictims(r *RateProfile, t, needed int64) (victims []ObjectID, maxRP float64, freed int64) {
+	cands := make([]rpCand, 0, len(r.entries))
+	for id, e := range r.entries {
+		cands = append(cands, rpCand{id, e.rp(t), e.obj.Size})
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].rp != cands[j].rp {
+			return cands[i].rp < cands[j].rp
+		}
+		return cands[i].id < cands[j].id
+	})
+	for _, c := range cands {
+		if freed >= needed {
+			break
+		}
+		victims = append(victims, c.id)
+		freed += c.size
+		if c.rp > maxRP {
+			maxRP = c.rp
+		}
+	}
+	return victims, maxRP, freed
+}
+
+// TestSelectVictimsMatchesSort: on random cache contents — drawn from
+// a few yield and size values so RP ties are common — heap selection
+// returns the same victims, in the same order, with the same maximum
+// RP and bytes freed as a full sort, for needs from nothing to more
+// than the cache holds.
+func TestSelectVictimsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		r := NewRateProfile(RateProfileConfig{Capacity: 1 << 40})
+		n := rng.Intn(40)
+		var total int64
+		for i := 0; i < n; i++ {
+			id := ObjectID(fmt.Sprintf("o%02d", rng.Intn(60)))
+			size := int64(100 * (1 + rng.Intn(4)))
+			r.entries[id] = &rpEntry{
+				obj:      Object{ID: id, Size: size},
+				loadTime: int64(rng.Intn(5)),
+				sumYield: int64(50 * rng.Intn(4)),
+			}
+		}
+		for _, e := range r.entries {
+			total += e.obj.Size
+		}
+		now := int64(5 + rng.Intn(3))
+		for _, needed := range []int64{0, 1, 100, 250, total / 2, total, total + 1} {
+			gv, gmax, gfreed := r.selectVictims(now, needed)
+			wv, wmax, wfreed := sortedVictims(r, now, needed)
+			if !reflect.DeepEqual(gv, wv) || gmax != wmax || gfreed != wfreed {
+				t.Fatalf("trial %d need %d: heap (%v, %g, %d), sort (%v, %g, %d)",
+					trial, needed, gv, gmax, gfreed, wv, wmax, wfreed)
+			}
+		}
 	}
 }

@@ -89,6 +89,7 @@ import (
 //	core.bytes_saved_vs_lruk          gauge: shadow LRU-K WAN − realized WAN
 //	core.competitive_ratio_milli      gauge: 1000 · realized WAN / bound (lifetime)
 //	core.competitive_ratio_window_milli  gauge: same ratio over the recent rate window
+//	                                  (both computed when the registry is scraped)
 //	core.wan_bytes_rate               realized WAN bytes/s (D_S + D_L)
 //	core.optbound_bytes_rate          bound bytes/s, the window ratio's denominator
 //
@@ -135,10 +136,24 @@ type Telemetry struct {
 	wanRate         *obs.Rate
 	optRate         *obs.Rate
 
-	// Global accumulators behind the competitive-ratio gauge: sharded
-	// shadow sets each contribute deltas, the gauge reads the sum.
+	// Global accumulators behind the competitive-ratio gauges: sharded
+	// shadow sets each contribute deltas; a registry collector turns
+	// the sums into ratios when the registry is scraped.
 	compWAN   atomic.Int64
 	compBound atomic.Int64
+
+	// verdicts caches the last recorded policy's core.decisions
+	// counters so RecordAccess neither builds nor looks up a label per
+	// access. A plane runs one policy; another name just replaces the
+	// entry.
+	verdicts atomic.Pointer[policyVerdicts]
+}
+
+// policyVerdicts holds one policy's core.decisions counters, indexed by
+// Decision and created on first use.
+type policyVerdicts struct {
+	policy   string
+	counters [Load + 1]atomic.Pointer[obs.Counter]
 }
 
 // DecideBuckets are the explicit core.decide_seconds bucket bounds in
@@ -162,7 +177,7 @@ func NewTelemetry(r *obs.Registry) *Telemetry {
 	if r == nil {
 		return nil
 	}
-	return &Telemetry{
+	t := &Telemetry{
 		decisions:      r.CounterFamily("core.decisions"),
 		evictions:      r.CounterFamily("core.evictions"),
 		accesses:       r.Counter("core.accesses"),
@@ -200,6 +215,29 @@ func NewTelemetry(r *obs.Registry) *Telemetry {
 		wanRate:         r.Rate("core.wan_bytes_rate"),
 		optRate:         r.Rate("core.optbound_bytes_rate"),
 	}
+	r.RegisterCollector(t.collectCompetitive)
+	return t
+}
+
+// decisionCounter returns the core.decisions counter labeled
+// "<policy>/<verdict>".
+func (t *Telemetry) decisionCounter(policy string, d Decision) *obs.Counter {
+	if d > Load {
+		return t.decisions.Get(policy + "/" + d.String())
+	}
+	pv := t.verdicts.Load()
+	if pv == nil || pv.policy != policy {
+		pv = &policyVerdicts{policy: policy}
+		t.verdicts.Store(pv)
+	}
+	c := pv.counters[d].Load()
+	if c == nil {
+		// Family lookups are idempotent, so racing first uses store
+		// the same counter.
+		c = t.decisions.Get(policy + "/" + d.String())
+		pv.counters[d].Store(c)
+	}
+	return c
 }
 
 // RecordAccess charges one decided access, mirroring Account's flow
@@ -209,7 +247,7 @@ func (t *Telemetry) RecordAccess(policy string, obj Object, yield int64, d Decis
 	if t == nil {
 		return
 	}
-	t.decisions.Add(policy+"/"+d.String(), 1)
+	t.decisionCounter(policy, d).Add(1)
 	t.accesses.Add(1)
 	t.yieldBytes.Add(yield)
 	switch d {
@@ -243,9 +281,9 @@ func (t *Telemetry) SeedRestored(policy string, a Accounting) {
 	if t == nil {
 		return
 	}
-	t.decisions.Add(policy+"/"+Hit.String(), a.Hits)
-	t.decisions.Add(policy+"/"+Bypass.String(), a.Bypasses)
-	t.decisions.Add(policy+"/"+Load.String(), a.Loads)
+	t.decisionCounter(policy, Hit).Add(a.Hits)
+	t.decisionCounter(policy, Bypass).Add(a.Bypasses)
+	t.decisionCounter(policy, Load).Add(a.Loads)
 	t.accesses.Add(a.Accesses)
 	t.yieldBytes.Add(a.YieldBytes)
 	t.cacheBytes.Add(a.CacheBytes)
@@ -377,19 +415,24 @@ func (t *Telemetry) PublishSavings(dBypass, dLRUK int64) {
 }
 
 // PublishCompetitive accumulates realized-WAN and ski-rental-bound
-// deltas into the telemetry's global totals and republishes the
-// competitive-ratio gauges, in thousandths (gauges are integers): the
-// lifetime ratio from the accumulated totals, and the windowed ratio
-// from the recent WAN and bound rates. A zero denominator leaves the
-// gauge at 0.
+// deltas into the telemetry's global totals. The competitive-ratio
+// gauges are derived from them when the registry is scraped (see
+// collectCompetitive), not on every access.
 func (t *Telemetry) PublishCompetitive(dWAN, dBound int64) {
 	if t == nil {
 		return
 	}
-	wan := t.compWAN.Add(dWAN)
-	bound := t.compBound.Add(dBound)
-	if bound > 0 {
-		t.compRatio.Set(wan * 1000 / bound)
+	t.compWAN.Add(dWAN)
+	t.compBound.Add(dBound)
+}
+
+// collectCompetitive sets the competitive-ratio gauges, in thousandths
+// (gauges are integers): the lifetime ratio from the accumulated
+// totals, and the windowed ratio from the recent WAN and bound rates.
+// A zero denominator leaves a gauge unchanged.
+func (t *Telemetry) collectCompetitive() {
+	if bound := t.compBound.Load(); bound > 0 {
+		t.compRatio.Set(t.compWAN.Load() * 1000 / bound)
 	}
 	if br := t.optRate.PerSecond(); br > 0 {
 		t.compRatioWindow.Set(int64(t.wanRate.PerSecond() / br * 1000))

@@ -121,3 +121,55 @@ func TestSimulatorTelemetry(t *testing.T) {
 		t.Fatalf("episodes closed (%d) > opened (%d)", closed, opened)
 	}
 }
+
+// TestTelemetryCompetitiveGaugesAtScrape: the competitive-ratio gauges
+// are derived from the accumulated totals and rates when the registry
+// is scraped, so a Snapshot after shadow accesses reads both ratios.
+func TestTelemetryCompetitiveGaugesAtScrape(t *testing.T) {
+	reg := obs.NewRegistry()
+	tel := NewTelemetry(reg)
+	s := NewShadowSet(1000)
+	s.SetTelemetry(tel)
+	live := NewLRUK(1000, 2)
+	o := Object{ID: "o1", Size: 1000, FetchCost: 1000}
+	for i := int64(1); i <= 6; i++ {
+		d := live.Access(i, o, 300)
+		tel.RecordAccess(live.Name(), o, 300, d)
+		s.Access(i, o, 300, d)
+	}
+	if s.OptBound() <= 0 {
+		t.Fatal("bound never grew")
+	}
+	snap := reg.Snapshot()
+	want := s.Realized().WANBytes() * 1000 / s.OptBound()
+	if got := snap.GaugeValue("core.competitive_ratio_milli"); got != want || got <= 0 {
+		t.Fatalf("competitive_ratio_milli = %d, want %d (> 0)", got, want)
+	}
+	// Every access landed inside the rate window just now, so both
+	// rates cover the lifetime totals over (nearly) the same span; the
+	// two rate reads see slightly different clocks, hence the slack.
+	win := snap.GaugeValue("core.competitive_ratio_window_milli")
+	if win <= 0 || win < want*9/10 || win > want*11/10 {
+		t.Fatalf("competitive_ratio_window_milli = %d, want ≈ %d", win, want)
+	}
+}
+
+// TestRecordAccessAllocationFree: recording a decided access allocates
+// nothing once the policy's counters exist — no label is concatenated
+// per access.
+func TestRecordAccessAllocationFree(t *testing.T) {
+	tel := NewTelemetry(obs.NewRegistry())
+	obj := Object{ID: "edr/photoobj", Site: "photo", Size: 1000, FetchCost: 1000}
+	decisions := []Decision{Hit, Bypass, Load}
+	for _, d := range decisions {
+		tel.RecordAccess("rate-profile", obj, 10, d)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		tel.RecordAccess("rate-profile", obj, 10, decisions[i%len(decisions)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("RecordAccess allocates %.1f times per call, want 0", allocs)
+	}
+}

@@ -25,6 +25,9 @@ type BoundCol struct {
 	Table *catalog.Table
 	// Col is the resolved catalog column.
 	Col *catalog.Column
+	// ColIdx is Col's schema-order index within Table: execution reads
+	// the column's sample values by it, with no name lookup.
+	ColIdx int
 }
 
 // BoundCond is a WHERE conjunct with both sides resolved.
@@ -97,29 +100,29 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 			}
 			for i := range stmt.From {
 				if &stmt.From[i] == tr {
-					col := b.Tables[i].Column(ref.Column)
-					if col == nil {
+					j := b.Tables[i].ColumnIndex(ref.Column)
+					if j < 0 {
 						return BoundCol{}, &BindError{Msg: "unknown column", Ref: ref.String()}
 					}
-					return BoundCol{TableIdx: i, Table: b.Tables[i], Col: col}, nil
+					return boundCol(b.Tables, i, j), nil
 				}
 			}
 			return BoundCol{}, &BindError{Msg: "unknown qualifier", Ref: ref.String()}
 		}
 		// Unqualified: must resolve in exactly one FROM table.
-		found := -1
+		found, col := -1, -1
 		for i, t := range b.Tables {
-			if t.Column(ref.Column) != nil {
+			if j := t.ColumnIndex(ref.Column); j >= 0 {
 				if found >= 0 {
 					return BoundCol{}, &BindError{Msg: "ambiguous column", Ref: ref.String()}
 				}
-				found = i
+				found, col = i, j
 			}
 		}
 		if found < 0 {
 			return BoundCol{}, &BindError{Msg: "unknown column", Ref: ref.String()}
 		}
-		return BoundCol{TableIdx: found, Table: b.Tables[found], Col: b.Tables[found].Column(ref.Column)}, nil
+		return boundCol(b.Tables, found, col), nil
 	}
 
 	for _, item := range stmt.Items {
@@ -203,6 +206,11 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 	return b, nil
 }
 
+// boundCol links column j of FROM table i.
+func boundCol(tables []*catalog.Table, i, j int) BoundCol {
+	return BoundCol{TableIdx: i, Table: tables[i], Col: &tables[i].Columns[j], ColIdx: j}
+}
+
 // ProjectedWidth returns the byte width of one result row: the sum of
 // projected column widths, 8 bytes per aggregate, or the combined row
 // width of all FROM tables for star.
@@ -231,23 +239,31 @@ func (b *Bound) ProjectedWidth() int64 {
 // statement touches — projections, predicates, and join keys. Star
 // projections expand to all columns of all FROM tables. The federation
 // layer uses this set for yield decomposition at column granularity.
+// A column counts once even when a self-join reaches it through two
+// FROM entries: distinctness is by catalog column.
 func (b *Bound) ReferencedColumns() []BoundCol {
-	seen := make(map[string]bool)
-	var out []BoundCol
+	n := len(b.Projs) + 2*len(b.Conds) + 2
+	if b.Star {
+		for _, t := range b.Tables {
+			n += len(t.Columns)
+		}
+	}
+	out := make([]BoundCol, 0, n)
 	add := func(bc BoundCol) {
 		if bc.Col == nil {
 			return
 		}
-		k := bc.Table.Name + "." + bc.Col.Name
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, bc)
+		for _, o := range out {
+			if o.Col == bc.Col {
+				return
+			}
 		}
+		out = append(out, bc)
 	}
 	if b.Star {
 		for i, t := range b.Tables {
 			for j := range t.Columns {
-				add(BoundCol{TableIdx: i, Table: t, Col: &t.Columns[j]})
+				add(boundCol(b.Tables, i, j))
 			}
 		}
 	}

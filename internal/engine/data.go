@@ -53,6 +53,9 @@ type tableData struct {
 	meta *catalog.Table
 	n    int
 	cols [][]float64 // parallel to meta.Columns
+	// qual holds the result-column names "table.column", parallel to
+	// meta.Columns, built once so results share them.
+	qual []string
 }
 
 // Open synthesizes a database for the schema. Generation is
@@ -70,9 +73,10 @@ func Open(s *catalog.Schema, cfg Config) (*DB, error) {
 		if n < 1 {
 			n = 1
 		}
-		td := &tableData{meta: t, n: n, cols: make([][]float64, len(t.Columns))}
+		td := &tableData{meta: t, n: n, cols: make([][]float64, len(t.Columns)), qual: make([]string, len(t.Columns))}
 		for j := range t.Columns {
 			td.cols[j] = synthesize(&t.Columns[j], t.Name, n, cfg)
+			td.qual[j] = t.Name + "." + t.Columns[j].Name
 		}
 		db.tables[t.Name] = td
 	}
@@ -150,19 +154,4 @@ func (db *DB) SampleRows(table string) int {
 		return 0
 	}
 	return td.n
-}
-
-// columnValues returns the sample values of a column (shared slice;
-// callers must not mutate). It returns nil for unknown names.
-func (db *DB) columnValues(table, col string) []float64 {
-	td := db.tables[strings.ToLower(table)]
-	if td == nil {
-		return nil
-	}
-	for j := range td.meta.Columns {
-		if td.meta.Columns[j].Name == strings.ToLower(col) {
-			return td.cols[j]
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,6 +44,12 @@ func mustParse(t *testing.T, sql string) *sqlparse.SelectStmt {
 		t.Fatalf("Parse(%q): %v", sql, err)
 	}
 	return stmt
+}
+
+// sampleColumn returns the synthesized sample values of a column.
+func sampleColumn(db *DB, table, col string) []float64 {
+	td := db.tables[table]
+	return td.cols[td.meta.ColumnIndex(col)]
 }
 
 func mustOpen(t *testing.T, s *catalog.Schema, cfg Config) *DB {
@@ -278,8 +285,8 @@ func TestExecuteMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Brute force over the same synthesized columns.
-	xs := db.columnValues("t", "x")
-	ks := db.columnValues("t", "k")
+	xs := sampleColumn(db, "t", "x")
+	ks := sampleColumn(db, "t", "k")
 	var want int64
 	for i := range xs {
 		if xs[i] < 25 && ks[i] == 3 {
@@ -498,15 +505,15 @@ func TestSampledFKJoinStillMatches(t *testing.T) {
 func TestOpenDeterministic(t *testing.T) {
 	a := mustOpen(t, smallSchema(), Config{Seed: 42})
 	b := mustOpen(t, smallSchema(), Config{Seed: 42})
-	xa := a.columnValues("t", "x")
-	xb := b.columnValues("t", "x")
+	xa := sampleColumn(a, "t", "x")
+	xb := sampleColumn(b, "t", "x")
 	for i := range xa {
 		if xa[i] != xb[i] {
 			t.Fatal("same seed must synthesize identical data")
 		}
 	}
 	c := mustOpen(t, smallSchema(), Config{Seed: 43})
-	xc := c.columnValues("t", "x")
+	xc := sampleColumn(c, "t", "x")
 	same := true
 	for i := range xa {
 		if xa[i] != xc[i] {
@@ -524,7 +531,7 @@ func TestSynthesizedValuesInRange(t *testing.T) {
 	s := db.Schema()
 	for _, tab := range s.Tables {
 		for _, col := range tab.Columns {
-			vals := db.columnValues(tab.Name, col.Name)
+			vals := sampleColumn(db, tab.Name, col.Name)
 			if len(vals) == 0 {
 				t.Fatalf("%s.%s: no values", tab.Name, col.Name)
 			}
@@ -580,5 +587,39 @@ func TestExecutePaperQueryOnEDR(t *testing.T) {
 	specBytes := db.Schema().Table("specobj").Bytes()
 	if res.Bytes >= specBytes {
 		t.Fatalf("yield %d should be far below specobj size %d", res.Bytes, specBytes)
+	}
+}
+
+// TestMixedCaseIdentifiers: identifiers resolve case-insensitively, so
+// a statement spelled in mixed case returns exactly the result of its
+// lower-case spelling — scans, star, joins, GROUP BY, ORDER BY and
+// aggregates alike.
+func TestMixedCaseIdentifiers(t *testing.T) {
+	db := mustOpen(t, catalog.EDR(), Config{SampleEvery: 10000, Seed: 7})
+	for _, sql := range []string{
+		"SELECT P.RA FROM PhotoObj P WHERE P.Dec > 0",
+		"SELECT * FROM PhotoObj WHERE Ra BETWEEN 10 AND 200",
+		"SELECT P.ObjID, S.Z FROM PhotoObj P, SpecObj S WHERE P.ObjID = S.ObjID AND S.Z < 3",
+		"SELECT * FROM SpecObj S, PhotoObj P WHERE S.ObjID = P.ObjID",
+		"SELECT Type, COUNT(*), AVG(PsfMag_R) FROM PhotoObj WHERE Dec > -30 GROUP BY Type",
+		"SELECT TOP 10 Ra, Dec FROM PhotoObj WHERE Ra > 100 ORDER BY Dec DESC",
+		"SELECT COUNT(*), SUM(Ra), MIN(P.Dec), MAX(P.Dec) FROM PhotoObj P WHERE P.Type = 3",
+	} {
+		t.Run(sql, func(t *testing.T) {
+			mixed, err := db.Execute(mustParse(t, sql))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lower, err := db.Execute(mustParse(t, strings.ToLower(sql)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(mixed, lower) {
+				t.Fatalf("mixed case:\n%+v\nlower case:\n%+v", mixed, lower)
+			}
+			if lower.SampleMatches == 0 {
+				t.Fatal("statement matched no sample rows; the comparison proves nothing")
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"bypassyield/internal/sqlparse"
 )
@@ -32,22 +33,38 @@ type ExecError struct{ Msg string }
 
 func (e *ExecError) Error() string { return "engine: " + e.Msg }
 
-// Execute runs a statement and returns its result. The execution
-// subset matches the workload: one- and two-table statements,
-// conjunctive predicates, equi-joins, aggregates, and TOP.
+// Execute binds a statement against the database's schema and runs
+// it. The execution subset matches the workload: one- and two-table
+// statements, conjunctive predicates, equi-joins, aggregates, and TOP.
 func (db *DB) Execute(stmt *sqlparse.SelectStmt) (*Result, error) {
 	b, err := Bind(db.schema, stmt)
 	if err != nil {
 		return nil, err
 	}
-	var res *Result
-	switch len(b.Tables) {
-	case 1:
-		res, err = db.execSingle(b)
-	case 2:
-		res, err = db.execJoin(b)
-	default:
+	return db.ExecuteBound(b)
+}
+
+// ExecuteBound runs a statement already bound against the database's
+// schema, so callers that also need the binding (yield decomposition,
+// sub-query planning) bind once.
+func (db *DB) ExecuteBound(b *Bound) (*Result, error) {
+	if b.Schema != db.schema {
+		return nil, &ExecError{Msg: fmt.Sprintf("statement bound against schema %q, database serves %q", b.Schema.Name, db.schema.Name)}
+	}
+	if len(b.Tables) > 2 {
 		return nil, &ExecError{Msg: fmt.Sprintf("%d-table statements not supported (max 2)", len(b.Tables))}
+	}
+	x := &execution{db: db, b: b}
+	defer x.release()
+	for i, t := range b.Tables {
+		x.tds[i] = db.tables[t.Name]
+	}
+	var res *Result
+	var err error
+	if len(b.Tables) == 1 {
+		res, err = x.single()
+	} else {
+		res, err = x.join()
 	}
 	if err != nil {
 		return nil, err
@@ -57,45 +74,104 @@ func (db *DB) Execute(stmt *sqlparse.SelectStmt) (*Result, error) {
 	return res, nil
 }
 
+// execution is one statement's run: the bound statement with its FROM
+// tables' storage resolved once, so every column a row loop reads is a
+// slice index away.
+type execution struct {
+	db  *DB
+	b   *Bound
+	tds [2]*tableData // per FROM entry
+	// bufs are the statement's row-index buffers — one per scan plus
+	// the join's pairs — borrowed from rowBufs until it finishes.
+	bufs [3]*[]int32
+}
+
+// rowBufs recycles row-index buffers. They die with their statement
+// (results copy the values they project), so steady-state execution
+// allocates none.
+var rowBufs = sync.Pool{New: func() any { return new([]int32) }}
+
+// maxPooledRows bounds the buffers returned to rowBufs.
+const maxPooledRows = 1 << 20
+
+// rowBuf borrows an empty buffer of capacity at least n into slot.
+func (x *execution) rowBuf(slot, n int) []int32 {
+	p := rowBufs.Get().(*[]int32)
+	if cap(*p) < n {
+		*p = make([]int32, 0, n)
+	}
+	x.bufs[slot] = p
+	return (*p)[:0]
+}
+
+// release returns the statement's buffers.
+func (x *execution) release() {
+	for _, p := range x.bufs {
+		if p != nil && cap(*p) <= maxPooledRows {
+			rowBufs.Put(p)
+		}
+	}
+}
+
+// values returns a bound column's sample values (shared; read-only).
+func (x *execution) values(bc BoundCol) []float64 {
+	return x.tds[bc.TableIdx].cols[bc.ColIdx]
+}
+
+// rowPred is a same-table predicate with its column data resolved.
+type rowPred struct {
+	left, right   []float64 // right is nil for literals and BETWEEN
+	op            sqlparse.CompareOp
+	between       bool
+	value, lo, hi float64
+}
+
+func (p *rowPred) match(i int) bool {
+	v := p.left[i]
+	switch {
+	case p.right != nil:
+		return compare(v, p.op, p.right[i])
+	case p.between:
+		return v >= p.lo && v <= p.hi
+	default:
+		return compare(v, p.op, p.value)
+	}
+}
+
 // evalLocal returns the sample row indexes of one table satisfying
 // its literal and same-table predicates.
-func (db *DB) evalLocal(b *Bound, tableIdx int) ([]int32, error) {
-	td := db.tables[b.Tables[tableIdx].Name]
-	db.rowsScanned.Add(int64(td.n))
-	out := make([]int32, 0, td.n)
+func (x *execution) evalLocal(tableIdx int) []int32 {
+	td := x.tds[tableIdx]
+	x.db.rowsScanned.Add(int64(td.n))
+	var buf [8]rowPred
+	preds := buf[:0]
+	for _, c := range x.b.Conds {
+		if c.Left.TableIdx != tableIdx {
+			continue
+		}
+		p := rowPred{
+			left: x.values(c.Left), op: c.Cond.Op, between: c.Cond.Between,
+			value: c.Cond.Value, lo: c.Cond.Lo, hi: c.Cond.Hi,
+		}
+		if c.Right != nil {
+			if c.Right.TableIdx != tableIdx {
+				continue // cross-table: handled by the join
+			}
+			p.right = x.values(*c.Right)
+		}
+		preds = append(preds, p)
+	}
+	out := x.rowBuf(tableIdx, td.n)
 scan:
 	for i := 0; i < td.n; i++ {
-		for _, c := range b.Conds {
-			if c.Left.TableIdx != tableIdx {
-				continue
-			}
-			if c.Right != nil {
-				if c.Right.TableIdx != tableIdx {
-					continue // cross-table: handled by the join
-				}
-				l := db.columnValues(b.Tables[tableIdx].Name, c.Left.Col.Name)[i]
-				r := db.columnValues(b.Tables[tableIdx].Name, c.Right.Col.Name)[i]
-				if !compare(l, c.Cond.Op, r) {
-					continue scan
-				}
-				continue
-			}
-			v := db.columnValues(b.Tables[tableIdx].Name, c.Left.Col.Name)[i]
-			if !evalLiteral(v, c.Cond) {
+		for k := range preds {
+			if !preds[k].match(i) {
 				continue scan
 			}
 		}
 		out = append(out, int32(i))
 	}
-	return out, nil
-}
-
-// evalLiteral evaluates a literal comparison or BETWEEN.
-func evalLiteral(v float64, c sqlparse.Condition) bool {
-	if c.Between {
-		return v >= c.Lo && v <= c.Hi
-	}
-	return compare(v, c.Op, c.Value)
+	return out
 }
 
 func compare(l float64, op sqlparse.CompareOp, r float64) bool {
@@ -117,47 +193,57 @@ func compare(l float64, op sqlparse.CompareOp, r float64) bool {
 	}
 }
 
-// execSingle evaluates a single-table statement.
-func (db *DB) execSingle(b *Bound) (*Result, error) {
-	matches, err := db.evalLocal(b, 0)
-	if err != nil {
-		return nil, err
-	}
-	rowOf := func(m int32) []int32 { return []int32{m} }
-	pairs := make([][]int32, len(matches))
-	for i, m := range matches {
-		pairs[i] = rowOf(m)
-	}
-	return db.finish(b, pairs)
+// rowSet is a statement's matched sample rows: stride row indexes
+// per joined row (one per FROM table), back to back in one slice.
+type rowSet struct {
+	idx    []int32
+	stride int
 }
 
-// execJoin evaluates a two-table statement with at least one
-// cross-table equi-join condition (cross products are rejected — at
-// sample scale alone they can explode).
-func (db *DB) execJoin(b *Bound) (*Result, error) {
+// len returns the number of joined rows.
+func (rs rowSet) len() int { return len(rs.idx) / rs.stride }
+
+// at returns joined row i's sample row in FROM table ti.
+func (rs rowSet) at(i, ti int) int32 { return rs.idx[i*rs.stride+ti] }
+
+// single evaluates a single-table statement.
+func (x *execution) single() (*Result, error) {
+	return x.finish(rowSet{idx: x.evalLocal(0), stride: 1})
+}
+
+// join evaluates a two-table statement with at least one cross-table
+// equi-join condition (cross products are rejected — at sample scale
+// alone they can explode).
+func (x *execution) join() (*Result, error) {
+	type crossPred struct {
+		left, right []float64
+		lt, rt      int
+		op          sqlparse.CompareOp
+	}
 	var equi []BoundCond  // cross-table equality
-	var extra []BoundCond // other cross-table comparisons
-	for _, c := range b.Conds {
+	var extra []crossPred // other cross-table comparisons
+	for _, c := range x.b.Conds {
 		if c.Right == nil || c.Left.TableIdx == c.Right.TableIdx {
 			continue
 		}
 		if c.Cond.Op == sqlparse.OpEq {
 			equi = append(equi, c)
 		} else {
-			extra = append(extra, c)
+			extra = append(extra, crossPred{
+				left: x.values(c.Left), right: x.values(*c.Right),
+				lt: c.Left.TableIdx, rt: c.Right.TableIdx, op: c.Cond.Op,
+			})
 		}
 	}
 	if len(equi) == 0 {
 		return nil, &ExecError{Msg: "cross products are not supported; add a join condition"}
 	}
-	left, err := db.evalLocal(b, 0)
-	if err != nil {
-		return nil, err
+	type key [2]float64 // up to two join columns; more is rejected
+	if len(equi) > 2 {
+		return nil, &ExecError{Msg: "at most two equi-join conditions supported"}
 	}
-	right, err := db.evalLocal(b, 1)
-	if err != nil {
-		return nil, err
-	}
+	left := x.evalLocal(0)
+	right := x.evalLocal(1)
 
 	// Build on the smaller side.
 	buildIdx, probeIdx := 0, 1
@@ -173,17 +259,12 @@ func (db *DB) execJoin(b *Bound) (*Result, error) {
 			if bc.TableIdx != tableIdx {
 				bc = *c.Right
 			}
-			cols[i] = db.columnValues(b.Tables[tableIdx].Name, bc.Col.Name)
+			cols[i] = x.values(bc)
 		}
 		return cols
 	}
 	buildCols := keyCols(buildIdx)
 	probeCols := keyCols(probeIdx)
-
-	type key [2]float64 // up to two join columns; more is rejected
-	if len(equi) > 2 {
-		return nil, &ExecError{Msg: "at most two equi-join conditions supported"}
-	}
 	mk := func(cols [][]float64, row int32) key {
 		var k key
 		for i, c := range cols {
@@ -197,59 +278,42 @@ func (db *DB) execJoin(b *Bound) (*Result, error) {
 		ht[k] = append(ht[k], r)
 	}
 
-	extraVals := func(c BoundCond, lrow, rrow int32) (float64, float64) {
-		rows := [2]int32{lrow, rrow}
-		l := db.columnValues(b.Tables[c.Left.TableIdx].Name, c.Left.Col.Name)[rows[c.Left.TableIdx]]
-		r := db.columnValues(b.Tables[c.Right.TableIdx].Name, c.Right.Col.Name)[rows[c.Right.TableIdx]]
-		return l, r
-	}
-
-	var pairs [][]int32
+	pairs := rowSet{idx: x.rowBuf(2, 0), stride: 2}
 	for _, pr := range probeRows {
 	match:
 		for _, br := range ht[mk(probeCols, pr)] {
-			row := make([]int32, 2)
+			var row [2]int32
 			row[buildIdx] = br
 			row[probeIdx] = pr
 			for _, c := range extra {
-				l, r := extraVals(c, row[0], row[1])
-				if !compare(l, c.Cond.Op, r) {
+				if !compare(c.left[row[c.lt]], c.op, c.right[row[c.rt]]) {
 					continue match
 				}
 			}
-			pairs = append(pairs, row)
+			pairs.idx = append(pairs.idx, row[0], row[1])
 		}
 	}
-	return db.finish(b, pairs)
+	*x.bufs[2] = pairs.idx // pool the grown array
+	return x.finish(pairs)
 }
 
 // finish scales cardinality, applies ORDER BY and TOP, computes
 // aggregates, and materializes the bounded tuple sample.
-func (db *DB) finish(b *Bound, rows [][]int32) (*Result, error) {
-	res := &Result{SampleMatches: int64(len(rows))}
-	res.Columns = outputColumns(b)
+func (x *execution) finish(rows rowSet) (*Result, error) {
+	b, db := x.b, x.db
+	n := rows.len()
+	res := &Result{SampleMatches: int64(n)}
+	res.Columns = x.outputColumns()
 
 	if b.GroupBy != nil {
-		return db.finishGrouped(b, rows, res)
-	}
-	if b.OrderBy != nil {
-		vals := db.columnValues(b.Tables[b.OrderBy.TableIdx].Name, b.OrderBy.Col.Name)
-		ti := b.OrderBy.TableIdx
-		desc := b.OrderDesc
-		sort.SliceStable(rows, func(i, j int) bool {
-			vi, vj := vals[rows[i][ti]], vals[rows[j][ti]]
-			if desc {
-				return vi > vj
-			}
-			return vi < vj
-		})
+		return x.finishGrouped(rows, res)
 	}
 
-	logical := int64(len(rows)) * db.cfg.SampleEvery
+	logical := int64(n) * db.cfg.SampleEvery
 	if b.Stmt.HasAggregate() {
 		res.Rows = 1
 		res.Bytes = b.ProjectedWidth()
-		tuple, err := db.aggregate(b, rows)
+		tuple, err := x.aggregate(rows)
 		if err != nil {
 			return nil, err
 		}
@@ -262,16 +326,38 @@ func (db *DB) finish(b *Bound, rows [][]int32) (*Result, error) {
 	res.Rows = logical
 	res.Bytes = logical * b.ProjectedWidth()
 
-	limit := len(rows)
+	limit := n
 	if int64(limit) > logical {
 		limit = int(logical)
 	}
 	if limit > db.cfg.MaxResultRows {
 		limit = db.cfg.MaxResultRows
 	}
-	for i := 0; i < limit; i++ {
-		res.Tuples = append(res.Tuples, db.materialize(b, rows[i]))
+	if limit == 0 {
+		return res, nil
 	}
+	// order lists the joined rows to materialize, in output order; only
+	// ORDER BY needs every row ranked.
+	order := make([]int32, limit)
+	if b.OrderBy != nil {
+		order = make([]int32, n)
+	}
+	for i := range order {
+		order[i] = int32(i)
+	}
+	if b.OrderBy != nil {
+		vals := x.values(*b.OrderBy)
+		ti := b.OrderBy.TableIdx
+		desc := b.OrderDesc
+		sort.SliceStable(order, func(i, j int) bool {
+			vi, vj := vals[rows.at(int(order[i]), ti)], vals[rows.at(int(order[j]), ti)]
+			if desc {
+				return vi > vj
+			}
+			return vi < vj
+		})
+	}
+	res.Tuples = x.materialize(rows, order[:limit])
 	return res, nil
 }
 
@@ -281,13 +367,14 @@ func (db *DB) finish(b *Bound, rows [][]int32) (*Result, error) {
 // floats) scale by the sampling factor; low-cardinality integer
 // columns do not (their distinct values are all present in any
 // sample).
-func (db *DB) finishGrouped(b *Bound, rows [][]int32, res *Result) (*Result, error) {
-	gvals := db.columnValues(b.Tables[b.GroupBy.TableIdx].Name, b.GroupBy.Col.Name)
+func (x *execution) finishGrouped(rows rowSet, res *Result) (*Result, error) {
+	b, db := x.b, x.db
+	gvals := x.values(*b.GroupBy)
 	ti := b.GroupBy.TableIdx
-	groups := make(map[float64][][]int32)
-	for _, row := range rows {
-		v := gvals[row[ti]]
-		groups[v] = append(groups[v], row)
+	groups := make(map[float64][]int32) // group value → its joined rows' indexes
+	for i, s := 0, rows.stride; i < rows.len(); i++ {
+		v := gvals[rows.at(i, ti)]
+		groups[v] = append(groups[v], rows.idx[i*s:(i+1)*s]...)
 	}
 	keys := make([]float64, 0, len(groups))
 	for v := range groups {
@@ -312,47 +399,71 @@ func (db *DB) finishGrouped(b *Bound, rows [][]int32, res *Result) (*Result, err
 	if limit > db.cfg.MaxResultRows {
 		limit = db.cfg.MaxResultRows
 	}
+	if limit == 0 {
+		return res, nil
+	}
+	cols := make([][]float64, len(b.Projs))
+	for i, p := range b.Projs {
+		if b.ProjAggs[i] != sqlparse.AggNone {
+			vals, err := x.aggValues(b.ProjAggs[i], p)
+			if err != nil {
+				return nil, err
+			}
+			cols[i] = vals
+		}
+	}
 	for _, v := range keys[:limit] {
-		grp := groups[v]
+		grp := rowSet{idx: groups[v], stride: rows.stride}
 		tuple := make([]float64, 0, len(b.Projs))
 		for i, p := range b.Projs {
 			if b.ProjAggs[i] == sqlparse.AggNone {
 				tuple = append(tuple, v)
 				continue
 			}
-			agg, err := db.aggregate(&Bound{
-				Stmt:     b.Stmt,
-				Tables:   b.Tables,
-				Projs:    []BoundCol{p},
-				ProjAggs: []sqlparse.AggFunc{b.ProjAggs[i]},
-			}, grp)
-			if err != nil {
-				return nil, err
-			}
-			tuple = append(tuple, agg[0])
+			tuple = append(tuple, aggregateOne(b.ProjAggs[i], cols[i], p.TableIdx, grp, db.cfg.SampleEvery))
 		}
 		res.Tuples = append(res.Tuples, tuple)
 	}
 	return res, nil
 }
 
-// materialize projects one joined sample row.
-func (db *DB) materialize(b *Bound, row []int32) []float64 {
-	if b.Star {
-		var out []float64
-		for ti, t := range b.Tables {
-			for j := range t.Columns {
-				out = append(out, db.columnValues(t.Name, t.Columns[j].Name)[row[ti]])
+// materialize projects the listed joined rows, in order. The tuples
+// share one backing array.
+func (x *execution) materialize(rows rowSet, order []int32) [][]float64 {
+	type proj struct {
+		vals []float64
+		ti   int
+	}
+	var projs []proj
+	if x.b.Star {
+		w := 0
+		for _, t := range x.b.Tables {
+			w += len(t.Columns)
+		}
+		projs = make([]proj, 0, w)
+		for ti, td := range x.tds[:len(x.b.Tables)] {
+			for _, vals := range td.cols {
+				projs = append(projs, proj{vals, ti})
 			}
 		}
-		return out
-	}
-	out := make([]float64, 0, len(b.Projs))
-	for i, p := range b.Projs {
-		if b.ProjAggs[i] != sqlparse.AggNone || p.Col == nil {
-			continue
+	} else {
+		projs = make([]proj, 0, len(x.b.Projs))
+		for i, p := range x.b.Projs {
+			if x.b.ProjAggs[i] != sqlparse.AggNone || p.Col == nil {
+				continue
+			}
+			projs = append(projs, proj{x.values(p), p.TableIdx})
 		}
-		out = append(out, db.columnValues(p.Table.Name, p.Col.Name)[row[p.TableIdx]])
+	}
+	w := len(projs)
+	backing := make([]float64, len(order)*w)
+	out := make([][]float64, len(order))
+	for r, i := range order {
+		tuple := backing[r*w : (r+1)*w : (r+1)*w]
+		for k, p := range projs {
+			tuple[k] = p.vals[rows.at(int(i), p.ti)]
+		}
+		out[r] = tuple
 	}
 	return out
 }
@@ -360,64 +471,74 @@ func (db *DB) materialize(b *Bound, row []int32) []float64 {
 // aggregate computes the aggregate tuple over the matching sample
 // rows. count and sum scale to logical size; avg/min/max are
 // sample statistics (unbiased under uniform sampling).
-func (db *DB) aggregate(b *Bound, rows [][]int32) ([]float64, error) {
+func (x *execution) aggregate(rows rowSet) ([]float64, error) {
+	b := x.b
 	out := make([]float64, 0, len(b.Projs))
 	for i, p := range b.Projs {
 		agg := b.ProjAggs[i]
 		if agg == sqlparse.AggNone {
 			return nil, &ExecError{Msg: "mixing aggregates and plain columns requires GROUP BY, which is not supported"}
 		}
-		if agg == sqlparse.AggCount {
-			out = append(out, float64(int64(len(rows))*db.cfg.SampleEvery))
-			continue
+		vals, err := x.aggValues(agg, p)
+		if err != nil {
+			return nil, err
 		}
-		vals := db.columnValues(p.Table.Name, p.Col.Name)
-		var sum float64
-		min, max := math.Inf(1), math.Inf(-1)
-		for _, row := range rows {
-			v := vals[row[p.TableIdx]]
-			sum += v
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		switch agg {
-		case sqlparse.AggSum:
-			out = append(out, sum*float64(db.cfg.SampleEvery))
-		case sqlparse.AggAvg:
-			if len(rows) == 0 {
-				out = append(out, 0)
-			} else {
-				out = append(out, sum/float64(len(rows)))
-			}
-		case sqlparse.AggMin:
-			if len(rows) == 0 {
-				out = append(out, 0)
-			} else {
-				out = append(out, min)
-			}
-		case sqlparse.AggMax:
-			if len(rows) == 0 {
-				out = append(out, 0)
-			} else {
-				out = append(out, max)
-			}
-		}
+		out = append(out, aggregateOne(agg, vals, p.TableIdx, rows, x.db.cfg.SampleEvery))
 	}
 	return out, nil
 }
 
+// aggValues resolves an aggregate's argument column; count needs none.
+func (x *execution) aggValues(agg sqlparse.AggFunc, p BoundCol) ([]float64, error) {
+	if agg == sqlparse.AggCount {
+		return nil, nil
+	}
+	if p.Col == nil {
+		return nil, &ExecError{Msg: fmt.Sprintf("%s(*) needs a column argument", agg)}
+	}
+	return x.values(p), nil
+}
+
+// aggregateOne computes one aggregate over the rows' values of a
+// column of FROM table ti.
+func aggregateOne(agg sqlparse.AggFunc, vals []float64, ti int, rows rowSet, sampleEvery int64) float64 {
+	n := rows.len()
+	if agg == sqlparse.AggCount {
+		return float64(int64(n) * sampleEvery)
+	}
+	var sum float64
+	min, max := math.Inf(1), math.Inf(-1)
+	for i := 0; i < n; i++ {
+		v := vals[rows.at(i, ti)]
+		sum += v
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	switch {
+	case agg == sqlparse.AggSum:
+		return sum * float64(sampleEvery)
+	case n == 0:
+		return 0
+	case agg == sqlparse.AggAvg:
+		return sum / float64(n)
+	case agg == sqlparse.AggMin:
+		return min
+	default:
+		return max
+	}
+}
+
 // outputColumns names the result columns.
-func outputColumns(b *Bound) []string {
+func (x *execution) outputColumns() []string {
+	b := x.b
 	if b.Star {
 		var out []string
-		for _, t := range b.Tables {
-			for j := range t.Columns {
-				out = append(out, t.Name+"."+t.Columns[j].Name)
-			}
+		for _, td := range x.tds[:len(b.Tables)] {
+			out = append(out, td.qual...)
 		}
 		return out
 	}
@@ -430,7 +551,7 @@ func outputColumns(b *Bound) []string {
 			out = append(out, item.String())
 		default:
 			p := b.Projs[i]
-			out = append(out, p.Table.Name+"."+p.Col.Name)
+			out = append(out, x.tds[p.TableIdx].qual[p.ColIdx])
 		}
 	}
 	return out

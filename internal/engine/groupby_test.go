@@ -87,8 +87,8 @@ func TestExecuteGroupByMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := db.columnValues("t", "x")
-	ks := db.columnValues("t", "k")
+	xs := sampleColumn(db, "t", "x")
+	ks := sampleColumn(db, "t", "k")
 	sums := map[float64]float64{}
 	counts := map[float64]float64{}
 	for i := range xs {
@@ -168,7 +168,7 @@ func TestExecuteOrderBy(t *testing.T) {
 		}
 	}
 	// Top-20 ascending must be the 20 smallest values overall.
-	xs := append([]float64(nil), db.columnValues("t", "x")...)
+	xs := append([]float64(nil), sampleColumn(db, "t", "x")...)
 	sort.Float64s(xs)
 	if res.Tuples[19][0] != xs[19] {
 		t.Fatalf("20th value = %v, want %v (global sort before TOP)", res.Tuples[19][0], xs[19])

@@ -174,6 +174,9 @@ type ShardWait struct {
 type QueryReport struct {
 	// SQL is the original statement.
 	SQL string
+	// Bound is the statement resolved against the release, bound once
+	// per query: the proxy plans bypass sub-queries from it.
+	Bound *engine.Bound
 	// Seq is the query's position in the mediator's stream.
 	Seq int64
 	// Result is the execution result (logical cardinality and yield).
@@ -441,7 +444,7 @@ func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceI
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.cfg.Engine.Execute(stmt)
+	res, err := m.cfg.Engine.ExecuteBound(b)
 	if err != nil {
 		return nil, err
 	}
@@ -462,6 +465,7 @@ func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceI
 	if err != nil {
 		return nil, err
 	}
+	rep.Bound = b
 	rep.ExecUS = execUS
 	m.queryLatency.Observe(time.Since(start).Microseconds())
 	return rep, nil
@@ -569,7 +573,7 @@ func (m *Mediator) decideShard(sh *decisionShard, g int64, rep *QueryReport, acc
 		}
 		m.objsTouched.Add(1)
 		rep.Decisions[i] = AccessDecision{
-			Object:   accs[i].Object,
+			Object:   obj.ID, // the universe's copy: records retaining it share one string
 			Site:     obj.Site,
 			Yield:    accs[i].Yield,
 			Decision: d,
@@ -677,38 +681,54 @@ func noteSiteError(rep *QueryReport, site, reason string, lost int64) {
 
 // Subqueries splits a bound multi-table statement into one
 // single-table statement per FROM table, as the paper's mediator ships
-// sub-queries to each member database: each subquery projects the
-// columns the mediator needs from that table (its referenced columns,
-// including join keys) and applies the table's local literal
-// predicates. Cross-table conditions are evaluated at the mediator
-// after the per-site results return.
+// sub-queries to each member database (see Subquery).
 func Subqueries(b *engine.Bound) []*sqlparse.SelectStmt {
 	out := make([]*sqlparse.SelectStmt, len(b.Tables))
 	refs := b.ReferencedColumns()
-	for i, t := range b.Tables {
-		sub := &sqlparse.SelectStmt{
-			From: []sqlparse.TableRef{{Name: t.Name}},
-		}
-		for _, r := range refs {
-			if r.TableIdx != i {
-				continue
-			}
-			sub.Items = append(sub.Items, sqlparse.SelectItem{
-				Col: sqlparse.ColRef{Column: r.Col.Name},
-			})
-		}
-		if len(sub.Items) == 0 {
-			sub.Items = []sqlparse.SelectItem{{Star: true}}
-		}
-		for _, c := range b.Conds {
-			if c.Right != nil || c.Left.TableIdx != i {
-				continue
-			}
-			cond := c.Cond
-			cond.Left = sqlparse.ColRef{Column: c.Left.Col.Name}
-			sub.Where = append(sub.Where, cond)
-		}
-		out[i] = sub
+	for i := range b.Tables {
+		out[i] = subquery(b, refs, i)
 	}
 	return out
+}
+
+// Subquery is the sub-statement Subqueries ships for FROM table i:
+// it projects the columns the mediator needs from that table (its
+// referenced columns, including join keys) and applies the table's
+// local literal predicates. Cross-table conditions are evaluated at
+// the mediator after the per-site results return.
+func Subquery(b *engine.Bound, i int) *sqlparse.SelectStmt {
+	return subquery(b, b.ReferencedColumns(), i)
+}
+
+func subquery(b *engine.Bound, refs []engine.BoundCol, i int) *sqlparse.SelectStmt {
+	sub := &sqlparse.SelectStmt{
+		From: []sqlparse.TableRef{{Name: b.Tables[i].Name}},
+	}
+	n := 0
+	for _, r := range refs {
+		if r.TableIdx == i {
+			n++
+		}
+	}
+	sub.Items = make([]sqlparse.SelectItem, 0, n)
+	for _, r := range refs {
+		if r.TableIdx != i {
+			continue
+		}
+		sub.Items = append(sub.Items, sqlparse.SelectItem{
+			Col: sqlparse.ColRef{Column: r.Col.Name},
+		})
+	}
+	if len(sub.Items) == 0 {
+		sub.Items = []sqlparse.SelectItem{{Star: true}}
+	}
+	for _, c := range b.Conds {
+		if c.Right != nil || c.Left.TableIdx != i {
+			continue
+		}
+		cond := c.Cond
+		cond.Left = sqlparse.ColRef{Column: c.Left.Col.Name}
+		sub.Where = append(sub.Where, cond)
+	}
+	return sub
 }

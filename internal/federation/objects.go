@@ -142,6 +142,7 @@ func viewFor(s *catalog.Schema, b *engine.Bound, tableIdx int) *catalog.View {
 	region := b.Region(tableIdx)
 	var best *catalog.View
 	var bestBytes int64
+	refs := b.ReferencedColumns()
 	views := catalog.StandardViews(s)
 	for i := range views {
 		v := &views[i]
@@ -149,7 +150,7 @@ func viewFor(s *catalog.Schema, b *engine.Bound, tableIdx int) *catalog.View {
 			continue
 		}
 		ok := true
-		for _, r := range b.ReferencedColumns() {
+		for _, r := range refs {
 			if r.TableIdx != tableIdx || r.Col == nil {
 				continue
 			}

@@ -262,7 +262,7 @@ func (n *DBNode) execute(sql string) (*ResultMsg, error) {
 			return nil, fmt.Errorf("dbnode %s: table %s is owned by %s", n.Site, t.Name, t.Site)
 		}
 	}
-	res, err := n.db.Execute(stmt)
+	res, err := n.db.ExecuteBound(b)
 	if err != nil {
 		return nil, err
 	}

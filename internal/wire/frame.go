@@ -4,7 +4,9 @@
 // (byproxyd) that collocates the mediator with a bypass-yield cache.
 //
 // Framing is length-prefixed: a 4-byte big-endian payload length, a
-// 1-byte message type, then a JSON payload. Result tuples are bounded
+// 1-byte message type, then the payload. Result payloads — the data
+// plane — use a compact binary encoding (see resultcodec.go); every
+// other message is JSON. Result tuples are bounded
 // (engine.Config.MaxResultRows), so frames stay small; the paper's
 // gigabyte-scale flows are accounted logically (see the Proxy type).
 package wire
@@ -110,10 +112,12 @@ const MaxFrame = 16 << 20
 // frameBuf is a reusable encode buffer: the buffer accumulates header
 // and payload so a frame hits the socket in one Write, and the encoder
 // is bound to the buffer once so steady-state encoding reuses its
-// scratch space instead of reallocating per frame.
+// scratch space instead of reallocating per frame. bin is the same for
+// binary Result frames.
 type frameBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
+	bin []byte
 }
 
 // frameBufMaxCap bounds buffers returned to the pool; an occasional
@@ -129,24 +133,39 @@ var framePool = sync.Pool{
 }
 
 // WriteFrame writes one frame and returns the bytes put on the wire.
-// Encode buffers are pooled (≤ 1 allocation per frame steady-state —
-// see BenchmarkWriteFrame) and each frame reaches w in a single Write.
+// A ResultMsg payload (value or pointer) is encoded in the binary
+// Result layout, anything else as JSON. Encode buffers are pooled
+// (≤ 1 allocation per frame steady-state — see BenchmarkWriteFrame)
+// and each frame reaches w in a single Write.
 func WriteFrame(w io.Writer, t MsgType, payload any) (int, error) {
 	fb := framePool.Get().(*frameBuf)
 	defer func() {
-		if fb.buf.Cap() <= frameBufMaxCap {
+		if fb.buf.Cap() <= frameBufMaxCap && cap(fb.bin) <= frameBufMaxCap {
 			framePool.Put(fb)
 		}
 	}()
-	fb.buf.Reset()
 	var hdr [5]byte // length+type placeholder, patched below
-	fb.buf.Write(hdr[:])
-	if err := fb.enc.Encode(payload); err != nil {
-		return 0, fmt.Errorf("wire: marshal: %w", err)
+	var frame []byte
+	switch m := payload.(type) {
+	case *ResultMsg:
+		if m == nil {
+			return 0, fmt.Errorf("wire: marshal: nil result")
+		}
+		fb.bin = appendResult(append(fb.bin[:0], hdr[:]...), m)
+		frame = fb.bin
+	case ResultMsg:
+		fb.bin = appendResult(append(fb.bin[:0], hdr[:]...), &m)
+		frame = fb.bin
+	default:
+		fb.buf.Reset()
+		fb.buf.Write(hdr[:])
+		if err := fb.enc.Encode(payload); err != nil {
+			return 0, fmt.Errorf("wire: marshal: %w", err)
+		}
+		frame = fb.buf.Bytes()
+		frame = frame[:len(frame)-1] // Encode appends a trailing newline
 	}
-	frame := fb.buf.Bytes()
-	body := len(frame) - len(hdr) - 1 // Encode appends a trailing newline
-	frame = frame[:len(hdr)+body]
+	body := len(frame) - len(hdr)
 	if body > MaxFrame {
 		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", body)
 	}
@@ -208,8 +227,12 @@ func ReadFrame(r io.Reader) (MsgType, []byte, int, error) {
 	return t, body, len(hdr) + size, nil
 }
 
-// Decode unmarshals a frame body.
+// Decode unmarshals a frame body: the binary Result layout into a
+// *ResultMsg, JSON into anything else.
 func Decode(body []byte, dst any) error {
+	if m, ok := dst.(*ResultMsg); ok {
+		return decodeResult(body, m)
+	}
 	if err := json.Unmarshal(body, dst); err != nil {
 		return fmt.Errorf("wire: decode: %w", err)
 	}

@@ -85,6 +85,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(seed(0, []byte(`{}`)))
 	f.Add(seed(255, []byte(`{}`)))
 	f.Add(seed(byte(MsgResult), bytes.Repeat([]byte{'a'}, 2*readChunk)))
+	f.Add(seed(byte(MsgResult), appendResult(nil, sampleResult())))
 	var huge [5]byte
 	binary.BigEndian.PutUint32(huge[:4], MaxFrame+1)
 	f.Add(huge[:])

@@ -24,58 +24,59 @@ func (q QueryMsg) TraceContext() obs.TraceContext {
 }
 
 // ResultMsg returns an execution result plus, from the proxy, the
-// cache decisions the query triggered.
+// cache decisions the query triggered. It travels in the binary Result
+// encoding (resultcodec.go), never as JSON.
 type ResultMsg struct {
 	// Columns names the output columns.
-	Columns []string `json:"columns"`
+	Columns []string
 	// Rows is the logical result cardinality.
-	Rows int64 `json:"rows"`
+	Rows int64
 	// Bytes is the logical result size (yield).
-	Bytes int64 `json:"bytes"`
+	Bytes int64
 	// Tuples holds a bounded sample of result rows.
-	Tuples [][]float64 `json:"tuples,omitempty"`
+	Tuples [][]float64
 	// Decisions lists per-object cache handling (proxy responses
 	// only).
-	Decisions []DecisionMsg `json:"decisions,omitempty"`
+	Decisions []DecisionMsg
 	// Partial marks a degraded result: one or more sites were
 	// unavailable, so their legs were served from cache (possibly
 	// stale) or dropped. SiteErrors carries the per-site detail.
-	Partial    bool           `json:"partial,omitempty"`
-	SiteErrors []SiteErrorMsg `json:"site_errors,omitempty"`
+	Partial    bool
+	SiteErrors []SiteErrorMsg
 	// TransportErrors lists WAN legs (fetches, sub-queries) that
 	// failed at the transport layer after mediation decided and
 	// accounted them. The logical result is unaffected — accounting is
 	// over logical sizes — but clients can see which sites misbehaved.
-	TransportErrors []SiteErrorMsg `json:"transport_errors,omitempty"`
+	TransportErrors []SiteErrorMsg
 }
 
 // SiteErrorMsg annotates one unavailable site's contribution to a
 // partial result.
 type SiteErrorMsg struct {
 	// Site is the unavailable federation member.
-	Site string `json:"site"`
+	Site string
 	// Error explains why (breaker state, backoff remaining).
-	Error string `json:"error"`
+	Error string
 	// LostBytes is the yield dropped from the result because the
 	// site's uncached objects could not be served.
-	LostBytes int64 `json:"lost_bytes,omitempty"`
+	LostBytes int64
 }
 
 // DecisionMsg is one per-object cache decision.
 type DecisionMsg struct {
-	Object   string `json:"object"`
-	Site     string `json:"site"`
-	Yield    int64  `json:"yield"`
-	Decision string `json:"decision"`
+	Object   string
+	Site     string
+	Yield    int64
+	Decision string
 	// Forced marks a decision the policy did not choose freely: the
 	// site was unavailable, so the mediator forced serve-from-cache.
-	Forced bool `json:"forced,omitempty"`
+	Forced bool
 	// Failed marks a leg that could not be served at all (site down,
 	// object not cached). Yield is what the leg would have delivered;
 	// nothing was charged for it.
-	Failed bool `json:"failed,omitempty"`
+	Failed bool
 	// Reason explains a forced or failed decision.
-	Reason string `json:"reason,omitempty"`
+	Reason string
 }
 
 // ErrorMsg returns a failure message.

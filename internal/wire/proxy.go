@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"bypassyield/internal/core"
-	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
@@ -594,8 +594,10 @@ func (p *Proxy) serveConn(conn net.Conn) {
 			}
 			// End before sending so span logs are complete once the
 			// client observes the result.
-			span.End(obs.A("decisions", strconv.Itoa(len(res.Decisions))),
-				obs.A("yield", strconv.FormatInt(res.Bytes, 10)))
+			if p.tracer.Enabled() {
+				span.End(obs.A("decisions", strconv.Itoa(len(res.Decisions))),
+					obs.A("yield", strconv.FormatInt(res.Bytes, 10)))
+			}
 			encStart := fc.Now()
 			p.send(conn, MsgResult, res)
 			fc.SetEncodeUS(fc.Now() - encStart)
@@ -659,6 +661,9 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 	if err != nil {
 		return nil, err
 	}
+	// Untraced queries build no span attributes: the strings would be
+	// formatted only to be dropped.
+	traced := p.tracer.Enabled()
 	mspan := p.tracer.Child(ctx, "proxy.mediate")
 	// The trace id rides into the mediator so decision-ledger records
 	// carry it; FormatID(0) is "" so untraced queries stay unmarked.
@@ -667,8 +672,10 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 		mspan.End(obs.A("error", err.Error()))
 		return nil, err
 	}
-	mspan.End(obs.A("yield", strconv.FormatInt(rep.Result.Bytes, 10)),
-		obs.A("rows", strconv.FormatInt(rep.Result.Rows, 10)))
+	if traced {
+		mspan.End(obs.A("yield", strconv.FormatInt(rep.Result.Bytes, 10)),
+			obs.A("rows", strconv.FormatInt(rep.Result.Rows, 10)))
+	}
 	fc.SetMediation(rep.ExecUS, rep.LockWaitUS, rep.DecideUS)
 	for _, w := range rep.ShardWaits {
 		fc.ShardWait(w.Shard, w.WaitUS)
@@ -693,7 +700,10 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 	// failed legs never reach the network — their sites are known
 	// unavailable.
 	var legs []leg
-	bypassedTables := map[string]bool{} // table name → has bypassed object
+	var bypassedTables []string // tables with a bypassed object
+	if len(rep.Decisions) > 0 {
+		res.Decisions = make([]DecisionMsg, 0, len(rep.Decisions))
+	}
 	for _, d := range rep.Decisions {
 		verdict := d.Decision.String()
 		if d.Failed {
@@ -712,36 +722,33 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 		// One proxy.decide span per object access: summing the yield
 		// attrs over a trace reproduces the query's D_A contribution
 		// (uniform net costs).
-		attrs := []obs.Attr{
-			obs.A("object", string(d.Object)),
-			obs.A("site", d.Site),
-			obs.A("yield", strconv.FormatInt(d.Yield, 10)),
-			obs.A("decision", verdict),
+		if traced {
+			attrs := []obs.Attr{
+				obs.A("object", string(d.Object)),
+				obs.A("site", d.Site),
+				obs.A("yield", strconv.FormatInt(d.Yield, 10)),
+				obs.A("decision", verdict),
+			}
+			if d.Forced || d.Failed {
+				attrs = append(attrs, obs.A("degraded", d.Reason))
+			}
+			p.tracer.Child(ctx, "proxy.decide", attrs...).End()
 		}
-		if d.Forced || d.Failed {
-			attrs = append(attrs, obs.A("degraded", d.Reason))
-		}
-		p.tracer.Child(ctx, "proxy.decide", attrs...).End()
 		if d.Forced || d.Failed {
 			continue
 		}
 		switch d.Decision {
 		case core.Bypass:
-			bypassedTables[tableOfObject(string(d.Object))] = true
+			if t := tableOfObject(string(d.Object)); !slices.Contains(bypassedTables, t) {
+				bypassedTables = append(bypassedTables, t)
+			}
 		case core.Load:
 			legs = append(legs, leg{site: d.Site, object: string(d.Object)})
 		}
 	}
-	if len(bypassedTables) > 0 {
-		bound, err := engine.Bind(p.med.Schema(), stmt)
-		if err == nil {
-			for i, sub := range federation.Subqueries(bound) {
-				t := bound.Tables[i]
-				if !bypassedTables[t.Name] {
-					continue
-				}
-				legs = append(legs, leg{site: t.Site, sql: sub.String()})
-			}
+	for i, t := range rep.Bound.Tables {
+		if slices.Contains(bypassedTables, t.Name) {
+			legs = append(legs, leg{site: t.Site, sql: federation.Subquery(rep.Bound, i).String()})
 		}
 	}
 	p.runLegs(legs, ctx, res, fc)
